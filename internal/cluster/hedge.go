@@ -3,9 +3,10 @@ package cluster
 import (
 	"context"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
+
+	"ctrpred/internal/stats"
 )
 
 // latencyTracker keeps a sliding window of successful cell dispatch
@@ -28,29 +29,19 @@ func (t *latencyTracker) record(d time.Duration) {
 	t.mu.Unlock()
 }
 
-// quantile returns the q-quantile (nearest-rank) of the window, or
-// false before minHedgeSamples observations exist.
+// quantile returns the q-quantile of the window (stats.Percentile's
+// nearest rank), or false before minHedgeSamples observations exist.
 func (t *latencyTracker) quantile(q float64) (time.Duration, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.n < minHedgeSamples {
 		return 0, false
 	}
-	k := len(t.buf)
-	if t.n < uint64(k) {
-		k = int(t.n)
+	window := make([]float64, min(t.n, uint64(len(t.buf))))
+	for i := range window {
+		window[i] = float64(t.buf[i])
 	}
-	window := make([]time.Duration, k)
-	copy(window, t.buf[:k])
-	sort.Slice(window, func(i, j int) bool { return window[i] < window[j] })
-	idx := int(q*float64(k)+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= k {
-		idx = k - 1
-	}
-	return window[idx], true
+	return time.Duration(stats.Percentile(window, q)), true
 }
 
 // postResult is one dispatch attempt's outcome.
@@ -96,7 +87,8 @@ func (c *Coordinator) hedgeDelay() time.Duration {
 // the caller's failover loop handles it; once the hedge is in flight,
 // the race runs to the first success or to both failing (the primary's
 // error wins reporting, and only the failed nodes are reported — a
-// cancelled loser is not a failure).
+// cancelled loser is not a failure). The caller notes the primary
+// dispatch; the hedge notes its own.
 func (c *Coordinator) hedgedPost(ctx context.Context, primary, backup, path string, body []byte) postResult {
 	attemptCtx, cancel := context.WithTimeout(ctx, c.cfg.CellTimeout)
 	defer cancel()
@@ -111,7 +103,6 @@ func (c *Coordinator) hedgedPost(ctx context.Context, primary, backup, path stri
 		results <- postResult{out: out, hdr: hdr, err: err, node: node}
 	}
 
-	c.reg.NoteDispatch(primary)
 	go post(primary)
 
 	var hedgeTimer *time.Timer

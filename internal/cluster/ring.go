@@ -10,7 +10,9 @@
 //   - Ring: a consistent-hash ring over worker URLs (ring.go)
 //   - Registry: worker membership and health state (registry.go)
 //   - Client: the coordinator's HTTP client for worker nodes (client.go)
-//   - Coordinator: the public http.Handler (coordinator.go)
+//   - Coordinator: a server.Server whose executor is the cluster
+//     (coordinator.go), with hedged cell dispatch (hedge.go) and the
+//     sweep journal (journal.go)
 //
 // Nothing here touches simulation math. Every simulation is fully
 // determined by its seeded configuration, so a cell computes the same

@@ -344,16 +344,6 @@ func (c *Controller) AttachIntegrity(t *integrity.Tree) {
 // IntegrityTree returns the attached tree, or nil.
 func (c *Controller) IntegrityTree() *integrity.Tree { return c.tree }
 
-// TamperLine flips one ciphertext bit of the line containing vaddr.
-//
-// Deprecated: TamperLine only covers data-ciphertext corruption. Use
-// TamperData, TamperCounter, TamperTreeNode, SpliceLines or ReplayStale
-// — or drive a faults.Injector via ArmFaults — for the full attack
-// surface of the threat model.
-func (c *Controller) TamperLine(vaddr uint64, bit int) {
-	c.TamperData(mem.LineAddr(vaddr), bit)
-}
-
 // TamperData flips one ciphertext bit of line la in the untrusted RAM —
 // the basic adversary move. The next fetch must fail integrity
 // verification (with a tree attached) and would otherwise silently

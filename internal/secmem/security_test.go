@@ -305,13 +305,13 @@ func TestDirectQuarantineRequalifiesWithCounterZero(t *testing.T) {
 	}
 }
 
-func TestDeprecatedTamperLineStillFlips(t *testing.T) {
+func TestTamperDataFlipsCiphertext(t *testing.T) {
 	r := newSecurityRig(t, RecoveryHalt)
 	r.ctrl.FetchLine(0, 0x1000)
 	before := r.ctrl.EncryptedLine(0x1000)
-	r.ctrl.TamperLine(0x1000, 4)
+	r.ctrl.TamperData(0x1000, 4)
 	if r.ctrl.EncryptedLine(0x1000) == before {
-		t.Fatal("TamperLine no longer flips ciphertext")
+		t.Fatal("TamperData did not flip ciphertext")
 	}
 }
 

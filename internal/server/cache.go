@@ -6,15 +6,11 @@ import (
 )
 
 // ResultCache is the content-addressed store of completed results:
-// canonical request hash → final snapshot JSON. Entries are immutable —
-// a key fully determines the simulation output — so a hit is served
-// without touching the job queue at all. Bounded LRU; a repeated sweep
-// of distinct configs evicts the coldest results first.
-//
-// It is exported because the cluster coordinator keeps one of its own:
-// assembled experiment results and proxied simulations are cached at
-// the coordinator under the same keys the workers use, so a warm rerun
-// never crosses the network at all.
+// canonical request hash → final snapshot JSON and its digest. Entries
+// are immutable — a key fully determines the simulation output — so a
+// hit is served without touching the job queue at all, and without
+// rehashing the body for its X-Snapshot-Digest. Bounded LRU; a repeated
+// sweep of distinct configs evicts the coldest results first.
 type ResultCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -26,8 +22,9 @@ type ResultCache struct {
 }
 
 type cacheEntry struct {
-	key  string
-	body []byte
+	key    string
+	body   []byte
+	digest string
 }
 
 // NewResultCache builds a cache holding up to capacity results;
@@ -37,43 +34,48 @@ func NewResultCache(capacity int) *ResultCache {
 	return &ResultCache{cap: capacity, byKey: make(map[string]*list.Element)}
 }
 
-// Get returns the cached body for key, if present.
-func (c *ResultCache) Get(key string) ([]byte, bool) {
+// Get returns the cached body for key and the digest Put computed for
+// it, if present.
+func (c *ResultCache) Get(key string) (body []byte, digest string, ok bool) {
 	if c == nil || c.cap <= 0 {
-		return nil, false
+		return nil, "", false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
 	if !ok {
 		c.misses++
-		return nil, false
+		return nil, "", false
 	}
 	c.hits++
 	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).body, true
+	e := el.Value.(*cacheEntry)
+	return e.body, e.digest, true
 }
 
 // Put stores body under key, evicting the least recently used entries
-// past capacity.
-func (c *ResultCache) Put(key string, body []byte) {
+// past capacity, and returns the body's digest (also when the cache is
+// disabled: the response carries it either way).
+func (c *ResultCache) Put(key string, body []byte) string {
+	digest := BodyDigest(body) // outside the lock: hits must not queue behind a hash
 	if c == nil || c.cap <= 0 {
-		return
+		return digest
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
 		// Same key ⇒ same bytes; just refresh recency.
 		c.order.MoveToFront(el)
-		return
+		return digest
 	}
-	c.byKey[key] = c.order.PushFront(&cacheEntry{key: key, body: body})
+	c.byKey[key] = c.order.PushFront(&cacheEntry{key: key, body: body, digest: digest})
 	for len(c.byKey) > c.cap {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
 		delete(c.byKey, oldest.Value.(*cacheEntry).key)
 		c.evicted++
 	}
+	return digest
 }
 
 // CacheStats is a point-in-time view of a ResultCache's counters.

@@ -1,17 +1,166 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"sync/atomic"
+	"time"
 
 	"ctrpred/internal/experiments"
 	"ctrpred/internal/runpool"
+	"ctrpred/internal/secmem"
 	"ctrpred/internal/sha256"
 	"ctrpred/internal/sim"
+	"ctrpred/internal/stats"
 )
+
+// Executor runs the jobs a Server admits. It is the only thing that
+// differs between a single node (Local) and a cluster coordinator: the
+// Server owns the routes, validation, result cache, admission,
+// streaming and response shaping for both.
+type Executor interface {
+	// RunSim and RunExperiment run one admitted job, emitting progress
+	// events and then exactly one terminal event: "error" (with Status
+	// set) or "result". A result's Snapshot is the canonical body a
+	// plain response carries, unless the event is marked Compact.
+	RunSim(ctx context.Context, job SimJob, emit func(Event))
+	RunExperiment(ctx context.Context, job ExperimentJob, emit func(Event))
+	// Lookup finds a result the Server's own cache lacks (served with
+	// X-Cache: peer).
+	Lookup(ctx context.Context, key string) ([]byte, bool)
+	// Health adds fields to the /healthz body; it may set "status".
+	Health(fields map[string]any)
+	// Metrics adds counters and children to the /metrics tree's root.
+	Metrics(root *stats.Snapshot)
+}
+
+// SimJob is a validated POST /v1/sim request.
+type SimJob struct {
+	Req    SimRequest
+	Bench  string
+	Config sim.Config
+	// Key is the result's content address.
+	Key string
+	// Stream is set when the client asked for NDJSON progress.
+	Stream bool
+}
+
+// ExperimentJob is a validated POST /v1/experiments request.
+type ExperimentJob struct {
+	Req     ExperimentRequest
+	Options experiments.Options
+	Key     string
+	Stream  bool
+}
+
+// NewExperimentJob validates req and resolves its sweep options and
+// content address; maxWorkers caps the grid's internal parallelism.
+func NewExperimentJob(req ExperimentRequest, maxWorkers int) (ExperimentJob, error) {
+	opt, err := req.buildExperiment(maxWorkers)
+	if err != nil {
+		return ExperimentJob{}, err
+	}
+	key, err := req.key(opt)
+	if err != nil {
+		return ExperimentJob{}, err
+	}
+	return ExperimentJob{Req: req, Options: opt, Key: key}, nil
+}
+
+// Local is the in-process executor: every job runs on this host's
+// simulator. New builds a single node around it; a cluster coordinator
+// keeps one for degraded mode, when no worker can take a job.
+type Local struct {
+	simsRun atomic.Uint64
+	expsRun atomic.Uint64
+}
+
+// RunSim runs one simulation and emits its stream events.
+func (l *Local) RunSim(ctx context.Context, job SimJob, emit func(Event)) {
+	if err := ctx.Err(); err != nil {
+		emit(errEvent(err))
+		return
+	}
+	m, err := sim.NewMachine(job.Bench, job.Config)
+	if err != nil {
+		ev := errEvent(err)
+		ev.Code, ev.Status = "bad_request", http.StatusBadRequest
+		emit(ev)
+		return
+	}
+	var lastBeat time.Time
+	m.OnProgress(func(committed uint64) {
+		if time.Since(lastBeat) >= heartbeatEvery {
+			lastBeat = time.Now()
+			emit(Event{Event: "progress", Instructions: committed})
+		}
+	})
+	start := time.Now()
+	res, runErr := m.RunContext(ctx)
+	l.simsRun.Add(1)
+	emit(UpdateEvent(runpool.Update{Label: job.Bench + "/" + job.Config.Scheme.Name, Err: runErr, Elapsed: time.Since(start), Done: 1, Total: 1}))
+	if runErr != nil {
+		ev := errEvent(runErr)
+		var serr *secmem.SecurityError
+		if errors.As(runErr, &serr) {
+			// The partial result up to the halt is still evidence; ship it
+			// with the error.
+			if body, jerr := res.Snapshot().JSON(); jerr == nil {
+				ev.Snapshot = body
+			}
+		}
+		emit(ev)
+		return
+	}
+	body, err := res.Snapshot().JSON()
+	if err != nil {
+		emit(errEvent(err))
+		return
+	}
+	emit(Event{Event: "result", Key: job.Key, Snapshot: body})
+}
+
+// RunExperiment regenerates one figure/table and emits its stream
+// events, forwarding every finished grid cell as an update.
+func (l *Local) RunExperiment(ctx context.Context, job ExperimentJob, emit func(Event)) {
+	if err := ctx.Err(); err != nil {
+		emit(errEvent(err))
+		return
+	}
+	opt := job.Options
+	opt.Progress = func(u runpool.Update) {
+		emit(UpdateEvent(u))
+		if u.Err == nil {
+			l.simsRun.Add(1)
+		}
+	}
+	res, err := experiments.ByID(ctx, job.Req.ID, opt)
+	l.expsRun.Add(1)
+	if err != nil {
+		emit(errEvent(err))
+		return
+	}
+	body, err := res.Snapshot().JSON()
+	if err != nil {
+		emit(errEvent(err))
+		return
+	}
+	emit(Event{Event: "result", Key: job.Key, Snapshot: body})
+}
+
+// Lookup finds nothing: a single node's results live only in its cache.
+func (*Local) Lookup(context.Context, string) ([]byte, bool) { return nil, false }
+
+// Health adds nothing to the Server's own fields.
+func (*Local) Health(map[string]any) {}
+
+// Metrics exports how much simulation this host ran.
+func (l *Local) Metrics(root *stats.Snapshot) {
+	root.Counter("sims_run", l.simsRun.Load())
+	root.Counter("experiments_run", l.expsRun.Load())
+}
 
 // snapshotDigestHeader carries the hex SHA-256 of a canonical snapshot
 // body on every plain JSON result, so relays (the cluster coordinator)
@@ -25,92 +174,6 @@ const snapshotDigestHeader = "X-Snapshot-Digest"
 // a relay verifies before trusting them.
 func BodyDigest(b []byte) string {
 	return fmt.Sprintf("%x", sha256.Sum256(b))
-}
-
-// Classify maps a job error to its stream error code and HTTP status —
-// the same mapping the server's own handlers use. Exported so the
-// cluster coordinator's degraded-mode local execution shapes errors
-// exactly as a worker would have.
-func Classify(err error) (code string, status int) { return classify(err) }
-
-// badRequestError marks an ExecuteLocal failure as the request's fault
-// (malformed body, unknown benchmark), so Classify maps it to the same
-// status a worker's HTTP handler would have returned instead of a 500.
-type badRequestError struct{ err error }
-
-func (e *badRequestError) Error() string { return e.err.Error() }
-func (e *badRequestError) Unwrap() error { return e.err }
-
-func badRequest(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &badRequestError{err: err}
-}
-
-// ExecuteLocal runs a job request body in-process, bypassing HTTP and
-// the job pool: the cluster coordinator's degraded-mode fallback when
-// every worker is down. path selects the job type ("/v1/sim" or
-// "/v1/experiments"); body is the same JSON a worker would have
-// received. The returned bytes are the canonical snapshot JSON —
-// byte-identical to what a healthy worker would have served, because a
-// run is fully determined by its configuration.
-//
-// All errors classify via Classify: bad bodies map to the same 4xx a
-// worker's HTTP handler would have sent, run failures to their usual
-// codes.
-func ExecuteLocal(ctx context.Context, path string, body []byte) ([]byte, error) {
-	switch path {
-	case "/v1/sim":
-		var req SimRequest
-		if err := decodeStrict(body, &req); err != nil {
-			return nil, badRequest(err)
-		}
-		bench, cfg, err := req.buildSim()
-		if err != nil {
-			return nil, badRequest(err)
-		}
-		m, err := sim.NewMachine(bench, cfg)
-		if err != nil {
-			return nil, err
-		}
-		res, err := m.RunContext(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return res.Snapshot().JSON()
-	case "/v1/experiments":
-		var req ExperimentRequest
-		if err := decodeStrict(body, &req); err != nil {
-			return nil, badRequest(err)
-		}
-		opt, err := req.buildExperiment(runpool.DefaultWorkers())
-		if err != nil {
-			return nil, badRequest(err)
-		}
-		res, err := experiments.ByID(ctx, req.ID, opt)
-		if err != nil {
-			return nil, err
-		}
-		return res.Snapshot().JSON()
-	default:
-		return nil, badRequest(fmt.Errorf("local execution supports /v1/sim and /v1/experiments, not %q", path))
-	}
-}
-
-func decodeStrict(body []byte, dst any) error {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return fmt.Errorf("request body: %w", err)
-	}
-	return nil
-}
-
-// SetSnapshotDigest stamps the integrity digest of a canonical
-// snapshot body onto a response's headers.
-func SetSnapshotDigest(h http.Header, body []byte) {
-	h.Set(snapshotDigestHeader, BodyDigest(body))
 }
 
 // SnapshotDigest reads the integrity digest from response headers

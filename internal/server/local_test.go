@@ -3,9 +3,10 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"net/http"
 	"testing"
+
+	"ctrpred/internal/stats"
 )
 
 // TestSnapshotDigestHeader: every plain JSON result body — fresh,
@@ -59,20 +60,36 @@ func TestSnapshotDigestHeader(t *testing.T) {
 	}
 }
 
-// TestExecuteLocal: the degraded-mode entry point must produce bytes
-// identical to the HTTP path for the same request, and classify bad
-// input the same way the handlers do.
+// TestExecuteLocal: the local executor, driven directly with typed
+// jobs the way a coordinator's degraded mode drives it, must produce
+// bytes identical to the HTTP path for the same request, and job
+// validation must reject bad input with the statuses the handlers use.
 func TestExecuteLocal(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
+	ctx := context.Background()
+	var l Local
+	run := func(start func(emit func(Event))) Event {
+		t.Helper()
+		var final Event
+		start(func(ev Event) {
+			if ev.Event == "result" || ev.Event == "error" {
+				final = ev
+			}
+		})
+		if final.Event != "result" {
+			t.Fatalf("local run ended with %+v; want a result", final)
+		}
+		return final
+	}
+
 	req := smallReq()
 	viaHTTP := readBody(t, postJSON(t, ts.URL+"/v1/sim", req))
-
-	body, _ := json.Marshal(req)
-	local, err := ExecuteLocal(context.Background(), "/v1/sim", body)
+	bench, cfg, err := req.buildSim()
 	if err != nil {
-		t.Fatalf("ExecuteLocal(/v1/sim): %v", err)
+		t.Fatal(err)
 	}
-	if !bytes.Equal(local, viaHTTP) {
+	local := run(func(emit func(Event)) { l.RunSim(ctx, SimJob{Req: req, Bench: bench, Config: cfg}, emit) })
+	if !bytes.Equal(local.Snapshot, viaHTTP) {
 		t.Error("local sim differs from the HTTP run")
 	}
 
@@ -81,32 +98,38 @@ func TestExecuteLocal(t *testing.T) {
 		Instructions: 30_000, Footprint: "64K", Seed: 7, Workers: 2,
 	}
 	expHTTP := readBody(t, postJSON(t, ts.URL+"/v1/experiments", expReq))
-	expBody, _ := json.Marshal(expReq)
-	localExp, err := ExecuteLocal(context.Background(), "/v1/experiments", expBody)
+	job, err := NewExperimentJob(expReq, 2)
 	if err != nil {
-		t.Fatalf("ExecuteLocal(/v1/experiments): %v", err)
+		t.Fatalf("NewExperimentJob: %v", err)
 	}
-	if !bytes.Equal(localExp, expHTTP) {
+	localExp := run(func(emit func(Event)) { l.RunExperiment(ctx, job, emit) })
+	if !bytes.Equal(localExp.Snapshot, expHTTP) {
 		t.Error("local experiment differs from the HTTP run")
 	}
+	root := stats.NewSnapshot("server")
+	l.Metrics(root)
+	if n, _ := root.CounterValue("experiments_run"); n != 1 {
+		t.Errorf("experiments_run = %d; want 1", n)
+	}
 
+	_, _, benchErr := SimRequest{Bench: "nope", Scheme: "baseline"}.buildSim()
+	_, idErr := NewExperimentJob(ExperimentRequest{ID: "nope"}, 1)
+	_, engineErr := NewExperimentJob(ExperimentRequest{ID: "fig7", Engine: "quantum"}, 1)
 	for _, tc := range []struct {
-		name, path string
-		body       string
+		name       string
+		err        error
 		wantStatus int
 	}{
-		{"unknown path", "/v1/nope", "{}", http.StatusBadRequest},
-		{"bad json", "/v1/sim", "{", http.StatusBadRequest},
-		{"unknown field", "/v1/sim", `{"wat":1}`, http.StatusBadRequest},
-		{"unknown bench", "/v1/sim", `{"bench":"nope","scheme":"baseline"}`, http.StatusBadRequest},
+		{"unknown bench", benchErr, http.StatusBadRequest},
+		{"unknown experiment", idErr, http.StatusBadRequest},
+		{"unknown engine", engineErr, http.StatusUnprocessableEntity},
 	} {
-		_, err := ExecuteLocal(context.Background(), tc.path, []byte(tc.body))
-		if err == nil {
-			t.Errorf("%s: ExecuteLocal succeeded; want an error", tc.name)
+		if tc.err == nil {
+			t.Errorf("%s: validation succeeded; want an error", tc.name)
 			continue
 		}
-		if _, status := Classify(err); status != tc.wantStatus {
-			t.Errorf("%s: classified as %d; want %d (err: %v)", tc.name, status, tc.wantStatus, err)
+		if status := buildStatus(tc.err); status != tc.wantStatus {
+			t.Errorf("%s: status %d; want %d (err: %v)", tc.name, status, tc.wantStatus, tc.err)
 		}
 	}
 }

@@ -18,7 +18,7 @@
 //	POST /v1/experiments    regenerate a figure/table over a grid
 //	GET  /v1/benchmarks     list workload kernels
 //	GET  /v1/experiments    list experiment ids
-//	GET  /v1/results/{key}  fetch a cached result by content address
+//	GET  /v1/results/{key}  fetch a result by content address
 //	GET  /healthz           liveness/readiness (503 while draining)
 //	GET  /metrics           server counters as a stats.Snapshot JSON
 //	GET  /debug/pprof/...   runtime profiles (Config.EnablePprof)
@@ -26,6 +26,10 @@
 // Shutdown is graceful: admission stops immediately, running jobs get
 // Config.DrainTimeout to finish, then their contexts are cancelled and
 // the simulator aborts within one Config.CheckInterval of instructions.
+//
+// Jobs run on an Executor. New runs them in-process (Local); the
+// cluster coordinator is the same Server built around an executor that
+// relays them to worker nodes, so both tiers speak one protocol.
 package server
 
 import (
@@ -81,6 +85,7 @@ const (
 // stop with Shutdown.
 type Server struct {
 	cfg   Config
+	exec  Executor
 	pool  *runpool.Pool
 	cache *ResultCache
 	mux   *http.ServeMux
@@ -104,8 +109,6 @@ type Server struct {
 	rejected  atomic.Uint64
 	finished  atomic.Uint64
 	failed    atomic.Uint64
-	simsRun   atomic.Uint64
-	expsRun   atomic.Uint64
 	streamed  atomic.Uint64
 	cacheSrvd atomic.Uint64
 
@@ -116,8 +119,12 @@ type Server struct {
 	jobsDone atomic.Uint64
 }
 
-// New assembles a Server from cfg (see Config for zero-value defaults).
-func New(cfg Config) *Server {
+// New assembles a single node from cfg (see Config for zero-value
+// defaults): a Server running every job in-process.
+func New(cfg Config) *Server { return NewWithExecutor(cfg, &Local{}) }
+
+// NewWithExecutor assembles a Server whose admitted jobs run on ex.
+func NewWithExecutor(cfg Config, ex Executor) *Server {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runpool.DefaultWorkers()
 	}
@@ -136,6 +143,7 @@ func New(cfg Config) *Server {
 	jobsCtx, hardStop := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:      cfg,
+		exec:     ex,
 		pool:     runpool.NewPool(cfg.Workers, cfg.Backlog),
 		cache:    NewResultCache(cfg.CacheEntries),
 		mux:      http.NewServeMux(),
@@ -143,13 +151,13 @@ func New(cfg Config) *Server {
 		jobsCtx:  jobsCtx,
 		hardStop: hardStop,
 	}
-	s.mux.HandleFunc("POST /v1/sim", s.endpoints.counted("sim", s.handleSim))
-	s.mux.HandleFunc("POST /v1/experiments", s.endpoints.counted("experiments", s.handleExperiment))
-	s.mux.HandleFunc("GET /v1/benchmarks", s.endpoints.counted("benchmarks", s.handleBenchmarks))
-	s.mux.HandleFunc("GET /v1/experiments", s.endpoints.counted("experiment_list", s.handleExperimentList))
-	s.mux.HandleFunc("GET /v1/results/{key}", s.endpoints.counted("results", s.handleResult))
-	s.mux.HandleFunc("GET /healthz", s.endpoints.counted("healthz", s.handleHealthz))
-	s.mux.HandleFunc("GET /metrics", s.endpoints.counted("metrics", s.handleMetrics))
+	s.Handle("POST /v1/sim", "sim", s.handleSim)
+	s.Handle("POST /v1/experiments", "experiments", s.handleExperiment)
+	s.Handle("GET /v1/benchmarks", "benchmarks", s.handleBenchmarks)
+	s.Handle("GET /v1/experiments", "experiment_list", s.handleExperimentList)
+	s.Handle("GET /v1/results/{key}", "results", s.handleResult)
+	s.Handle("GET /healthz", "healthz", s.handleHealthz)
+	s.Handle("GET /metrics", "metrics", s.handleMetrics)
 	if cfg.EnablePprof {
 		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -161,6 +169,12 @@ func New(cfg Config) *Server {
 }
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+
+// Handle mounts a route, counted under name in the /metrics
+// "endpoints" child.
+func (s *Server) Handle(pattern, name string, h http.HandlerFunc) {
+	s.mux.HandleFunc(pattern, s.endpoints.counted(name, h))
+}
 
 // Shutdown stops admission, waits up to Config.DrainTimeout for running
 // jobs to finish on their own, then cancels every job context — the
@@ -200,7 +214,8 @@ type UpdateWire struct {
 	Total     int     `json:"total"`
 }
 
-func wireUpdate(u runpool.Update) *UpdateWire {
+// UpdateEvent is the stream event announcing one finished simulation.
+func UpdateEvent(u runpool.Update) Event {
 	w := &UpdateWire{
 		Index: u.Index, Label: u.Label,
 		ElapsedMS: float64(u.Elapsed) / float64(time.Millisecond),
@@ -209,7 +224,7 @@ func wireUpdate(u runpool.Update) *UpdateWire {
 	if u.Err != nil {
 		w.Error = u.Err.Error()
 	}
-	return w
+	return Event{Event: "update", Update: w}
 }
 
 // Event is one NDJSON stream line. Event is "accepted", "progress",
@@ -235,21 +250,20 @@ type Event struct {
 	Code string `json:"code,omitempty"`
 
 	// Status is the HTTP status a non-streaming response should carry
-	// (coordinator and server both shape responses from events; not part
-	// of the wire form).
+	// (not part of the wire form).
 	Status int `json:"-"`
+	// Compact marks a result whose Snapshot is the compacted stream copy
+	// of the body rather than its canonical bytes (a relayed stream whose
+	// origin could not be asked for them): it is streamed but not cached.
+	// Not part of the wire form.
+	Compact bool `json:"-"`
 }
 
 // classify maps a job error to a stream code and HTTP status.
 func classify(err error) (code string, status int) {
 	var serr *secmem.SecurityError
 	var perr *runpool.PanicError
-	var berr *badRequestError
 	switch {
-	case errors.As(err, &berr):
-		// Only ExecuteLocal produces these; the HTTP handlers reject bad
-		// requests before a job ever runs.
-		return "bad_request", BuildStatus(berr.err)
 	case errors.As(err, &serr):
 		if serr.Kind == secmem.KindSelfCheck {
 			return "self_check", http.StatusInternalServerError
@@ -268,13 +282,10 @@ func classify(err error) (code string, status int) {
 	}
 }
 
-// BuildStatus maps a request-build error to its HTTP status: a
+// buildStatus maps a request-build error to its HTTP status: a
 // well-formed request naming an unknown engine model is semantically
 // unprocessable (422), everything else is a plain bad request (400).
-// Exported because the cluster coordinator validates requests with the
-// same request types and must reject them with the same statuses a
-// single node would.
-func BuildStatus(err error) int {
+func buildStatus(err error) int {
 	if errors.Is(err, cryptoengine.ErrUnknownEngine) {
 		return http.StatusUnprocessableEntity
 	}
@@ -289,56 +300,48 @@ func errEvent(err error) Event {
 // handleSim serves POST /v1/sim.
 func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	var req SimRequest
-	if !decodeJSON(w, r, &req) {
+	if !DecodeJSON(w, r, &req) {
 		return
 	}
 	bench, cfg, err := req.buildSim()
 	if err != nil {
-		httpError(w, BuildStatus(err), err)
+		WriteError(w, buildStatus(err), err)
 		return
 	}
 	timeout, err := parseTimeout(req.Timeout, s.cfg.DefaultTimeout)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	key := sim.Fingerprint(bench, cfg)
-	label := fmt.Sprintf("sim %s/%s %s", bench, cfg.Scheme.Name, key[:12])
+	job := SimJob{Req: req, Bench: bench, Config: cfg, Key: sim.Fingerprint(bench, cfg), Stream: wantsStream(r)}
 	s.dispatch(w, r, dispatchSpec{
-		key: key, label: label, noCache: req.NoCache, timeout: timeout,
-		run: func(ctx context.Context, emit func(Event)) {
-			s.execSim(ctx, bench, cfg, key, req.NoCache, emit)
-		},
+		key: job.Key, label: fmt.Sprintf("sim %s/%s %s", bench, cfg.Scheme.Name, job.Key[:12]),
+		noCache: req.NoCache, stream: job.Stream, timeout: timeout,
+		run: func(ctx context.Context, emit func(Event)) { s.exec.RunSim(ctx, job, emit) },
 	})
 }
 
 // handleExperiment serves POST /v1/experiments.
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	var req ExperimentRequest
-	if !decodeJSON(w, r, &req) {
+	if !DecodeJSON(w, r, &req) {
 		return
 	}
-	opt, err := req.buildExperiment(s.cfg.Workers)
+	job, err := NewExperimentJob(req, s.cfg.Workers)
 	if err != nil {
-		httpError(w, BuildStatus(err), err)
+		WriteError(w, buildStatus(err), err)
 		return
 	}
 	timeout, err := parseTimeout(req.Timeout, s.cfg.DefaultTimeout)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	key, err := req.key(s.cfg.Workers)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	label := fmt.Sprintf("exp %s %s", req.ID, key[:12])
+	job.Stream = wantsStream(r)
 	s.dispatch(w, r, dispatchSpec{
-		key: key, label: label, noCache: req.NoCache, timeout: timeout,
-		run: func(ctx context.Context, emit func(Event)) {
-			s.execExperiment(ctx, req.ID, opt, key, req.NoCache, emit)
-		},
+		key: job.Key, label: fmt.Sprintf("exp %s %s", req.ID, job.Key[:12]),
+		noCache: req.NoCache, stream: job.Stream, timeout: timeout,
+		run: func(ctx context.Context, emit func(Event)) { s.exec.RunExperiment(ctx, job, emit) },
 	})
 }
 
@@ -346,6 +349,7 @@ type dispatchSpec struct {
 	key     string
 	label   string
 	noCache bool
+	stream  bool
 	timeout time.Duration
 	run     func(ctx context.Context, emit func(Event))
 }
@@ -354,28 +358,22 @@ type dispatchSpec struct {
 // admission, execution, and response shaping for both the streaming and
 // the plain mode.
 func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, spec dispatchSpec) {
-	stream := wantsStream(r)
-
 	if !spec.noCache {
-		if body, ok := s.cache.Get(spec.key); ok {
+		if body, digest, ok := s.cache.Get(spec.key); ok {
 			s.cacheSrvd.Add(1)
-			if stream {
+			if spec.stream {
 				sw := newStreamWriter(w)
 				sw.write(Event{Event: "accepted", Key: spec.key, Cached: true})
 				sw.write(Event{Event: "result", Key: spec.key, Cached: true, Snapshot: body})
 				return
 			}
-			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set("X-Cache", "hit")
-			w.Header().Set("X-Result-Key", spec.key)
-			SetSnapshotDigest(w.Header(), body)
-			w.Write(body)
+			writeResult(w, spec.key, "hit", body, digest)
 			return
 		}
 	}
 
 	if s.isDraining() {
-		httpError(w, http.StatusServiceUnavailable, errors.New("server draining"))
+		WriteError(w, http.StatusServiceUnavailable, errors.New("server draining"))
 		return
 	}
 
@@ -426,15 +424,15 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, spec dispatchS
 		case errors.Is(err, runpool.ErrPoolSaturated):
 			ra := retryAfterSeconds(ps, s.meanJobLatency())
 			w.Header().Set("Retry-After", strconv.Itoa(ra))
-			httpError(w, http.StatusTooManyRequests, errors.New("job queue full; retry later"))
+			WriteError(w, http.StatusTooManyRequests, errors.New("job queue full; retry later"))
 		default:
-			httpError(w, http.StatusServiceUnavailable, err)
+			WriteError(w, http.StatusServiceUnavailable, err)
 		}
 		return
 	}
 	s.accepted.Add(1)
 
-	if stream {
+	if spec.stream {
 		s.streamed.Add(1)
 		sw := newStreamWriter(w)
 		sw.write(Event{Event: "accepted", Key: spec.key, Queue: queueDepth})
@@ -443,6 +441,7 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, spec dispatchS
 				s.failed.Add(1)
 			} else if ev.Event == "result" {
 				s.finished.Add(1)
+				s.keep(spec, ev)
 			}
 			sw.write(ev)
 		}
@@ -458,17 +457,33 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, spec dispatchS
 	switch final.Event {
 	case "result":
 		s.finished.Add(1)
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Cache", "miss")
-		w.Header().Set("X-Result-Key", spec.key)
-		SetSnapshotDigest(w.Header(), final.Snapshot)
-		w.Write(final.Snapshot)
+		writeResult(w, spec.key, "miss", final.Snapshot, s.keep(spec, final))
 	case "error":
 		s.failed.Add(1)
-		writeJSON(w, final.Status, final)
+		WriteJSON(w, final.Status, final)
 	default:
-		httpError(w, http.StatusInternalServerError, errors.New("job produced no result"))
+		WriteError(w, http.StatusInternalServerError, errors.New("job produced no result"))
 	}
+}
+
+// keep caches a finished job's body, unless the request opted out or
+// the body is not canonical, and returns the body's digest.
+func (s *Server) keep(spec dispatchSpec, ev Event) string {
+	if spec.noCache || ev.Compact {
+		return BodyDigest(ev.Snapshot)
+	}
+	return s.cache.Put(spec.key, ev.Snapshot)
+}
+
+// writeResult writes a plain result body with the headers every plain
+// result carries, whichever path produced it.
+func writeResult(w http.ResponseWriter, key, cache string, body []byte, digest string) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("X-Cache", cache)
+	h.Set("X-Result-Key", key)
+	h.Set(snapshotDigestHeader, digest)
+	w.Write(body)
 }
 
 // meanJobLatency is the average wall-clock duration of finished jobs,
@@ -518,99 +533,21 @@ func retryAfterSeconds(ps runpool.PoolStats, mean time.Duration) int {
 	return secs
 }
 
-// execSim runs one simulation and emits its stream events.
-func (s *Server) execSim(ctx context.Context, bench string, cfg sim.Config, key string, noCache bool, emit func(Event)) {
-	if err := ctx.Err(); err != nil {
-		emit(errEvent(err))
-		return
-	}
-	m, err := sim.NewMachine(bench, cfg)
-	if err != nil {
-		ev := errEvent(err)
-		ev.Code, ev.Status = "bad_request", http.StatusBadRequest
-		emit(ev)
-		return
-	}
-	var lastBeat time.Time
-	m.OnProgress(func(committed uint64) {
-		if time.Since(lastBeat) >= heartbeatEvery {
-			lastBeat = time.Now()
-			emit(Event{Event: "progress", Instructions: committed})
-		}
-	})
-	start := time.Now()
-	res, runErr := m.RunContext(ctx)
-	s.simsRun.Add(1)
-	up := runpool.Update{Label: bench + "/" + cfg.Scheme.Name, Err: runErr, Elapsed: time.Since(start), Done: 1, Total: 1}
-	emit(Event{Event: "update", Update: wireUpdate(up)})
-	if runErr != nil {
-		ev := errEvent(runErr)
-		var serr *secmem.SecurityError
-		if errors.As(runErr, &serr) {
-			// The partial result up to the halt is still evidence; ship it
-			// with the error.
-			if body, jerr := res.Snapshot().JSON(); jerr == nil {
-				ev.Snapshot = body
-			}
-		}
-		emit(ev)
-		return
-	}
-	body, err := res.Snapshot().JSON()
-	if err != nil {
-		emit(errEvent(err))
-		return
-	}
-	if !noCache {
-		s.cache.Put(key, body)
-	}
-	emit(Event{Event: "result", Key: key, Snapshot: body})
-}
-
-// execExperiment regenerates one figure/table and emits its stream
-// events, forwarding every finished grid cell as an update.
-func (s *Server) execExperiment(ctx context.Context, id string, opt experiments.Options, key string, noCache bool, emit func(Event)) {
-	if err := ctx.Err(); err != nil {
-		emit(errEvent(err))
-		return
-	}
-	opt.Progress = func(u runpool.Update) {
-		emit(Event{Event: "update", Update: wireUpdate(u)})
-		if u.Err == nil {
-			s.simsRun.Add(1)
-		}
-	}
-	res, err := experiments.ByID(ctx, id, opt)
-	s.expsRun.Add(1)
-	if err != nil {
-		emit(errEvent(err))
-		return
-	}
-	body, jerr := res.Snapshot().JSON()
-	if jerr != nil {
-		emit(errEvent(jerr))
-		return
-	}
-	if !noCache {
-		s.cache.Put(key, body)
-	}
-	emit(Event{Event: "result", Key: key, Snapshot: body})
-}
-
 // handleResult serves GET /v1/results/{key}: the content-addressed
-// fetch path of the cache.
+// fetch path of the cache, then of the executor (a coordinator asks its
+// workers); an executor hit is cached on the way through.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	body, ok := s.cache.Get(key)
-	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("no cached result for %q", key))
+	if body, digest, ok := s.cache.Get(key); ok {
+		s.cacheSrvd.Add(1)
+		writeResult(w, key, "hit", body, digest)
 		return
 	}
-	s.cacheSrvd.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Cache", "hit")
-	SetSnapshotDigest(w.Header(), body)
-	w.Write(body)
+	if body, ok := s.exec.Lookup(r.Context(), key); ok {
+		writeResult(w, key, "peer", body, s.cache.Put(key, body))
+		return
+	}
+	WriteError(w, http.StatusNotFound, fmt.Errorf("no cached result for %q", key))
 }
 
 func (s *Server) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
@@ -626,40 +563,39 @@ func (s *Server) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
 		out = append(out, bench{Name: sp.Name, Description: sp.Description,
 			MemoryBound: sp.MemoryBound, WriteHeavy: sp.WriteHeavy})
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleExperimentList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, experiments.IDs())
+	WriteJSON(w, http.StatusOK, experiments.IDs())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	ps := s.pool.Stats()
-	status := "ok"
-	code := http.StatusOK
-	if s.isDraining() {
-		status = "draining"
-		code = http.StatusServiceUnavailable
-	}
-	writeJSON(w, code, map[string]any{
-		"status":  status,
+	fields := map[string]any{
+		"status":  "ok",
 		"workers": ps.Workers,
 		"running": ps.Running,
 		"pending": ps.Pending,
-	})
+	}
+	s.exec.Health(fields)
+	code := http.StatusOK
+	if s.isDraining() {
+		fields["status"] = "draining"
+		code = http.StatusServiceUnavailable
+	}
+	WriteJSON(w, code, fields)
 }
 
 // Snapshot exports the server's counters as a metrics tree (the
 // /metrics payload): job admission and outcomes at the root, the pool
-// and cache as children.
+// and cache as children, then whatever the executor adds.
 func (s *Server) Snapshot() *stats.Snapshot {
 	n := stats.NewSnapshot("server")
 	n.Counter("accepted", s.accepted.Load())
 	n.Counter("rejected", s.rejected.Load())
 	n.Counter("finished", s.finished.Load())
 	n.Counter("failed", s.failed.Load())
-	n.Counter("sims_run", s.simsRun.Load())
-	n.Counter("experiments_run", s.expsRun.Load())
 	n.Counter("streamed", s.streamed.Load())
 	n.Counter("cache_served", s.cacheSrvd.Load())
 	n.Value("uptime_seconds", time.Since(s.start).Seconds())
@@ -690,6 +626,7 @@ func (s *Server) Snapshot() *stats.Snapshot {
 	cn.Counter("evictions", cs.Evictions)
 
 	s.endpoints.addTo(n.Child("endpoints"))
+	s.exec.Metrics(n)
 	return n
 }
 
@@ -735,7 +672,7 @@ func (e *endpointCounters) addTo(n *stats.Snapshot) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	body, err := s.Snapshot().JSON()
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -785,21 +722,25 @@ func (sw *streamWriter) write(ev Event) {
 	sw.rc.Flush()
 }
 
-func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
+// DecodeJSON strictly decodes a request body into dst, answering 400
+// and reporting false when it does not fit.
+func DecodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("request body: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("request body: %w", err))
 		return false
 	}
 	return true
 }
 
-func httpError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+// WriteError answers with status and a {"error": ...} body.
+func WriteError(w http.ResponseWriter, status int, err error) {
+	WriteJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers with status and v as indented JSON.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
