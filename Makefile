@@ -1,35 +1,34 @@
 # Verification recipe. `make verify` is the tier-1 gate: build, vet
-# (this module and perfbench), the full test suite, a race-detector pass
-# over the concurrent packages (the run scheduler and the sweeps routed
-# through it) plus the fault-injection/recovery datapath, a short fuzz
-# smoke of the integrity tree, and the service smokes.
+# (this module and perfbench) plus a gofmt check, the full test suite of
+# both modules, a race-detector pass over the concurrent packages (the
+# run scheduler and the sweeps routed through it) plus the
+# fault-injection/recovery datapath, a short fuzz smoke of the integrity
+# tree, and the service smokes.
 #
-# `make bench` runs the benchmark suite once and appends a labeled entry
-# to the tracked ledger BENCH_sim.json (label via BENCH_LABEL=...), so
-# perf changes land with their before/after numbers. benchjson refuses a
-# label the ledger already holds (re-record deliberately with
-# BENCH_FLAGS=-force) and prints non-blocking warnings for metrics that
-# regressed >10% against the previous entry. See EXPERIMENTS.md for the
-# profiling workflow built on top of it.
+# Performance is measured by the repeated-sample benchmark in perfbench/
+# (`bash perfbench/run.sh --workload W --seed N --seconds S`, contract in
+# BENCHMARK.json); see EXPERIMENTS.md for the profiling workflow.
 
 GO ?= go
-BENCH_LABEL ?= local
-BENCH_FLAGS ?=
 
-.PHONY: build vet test race fuzz smoke loadtest-smoke loadtest chaos-smoke chaos capacity-smoke verify bench
+.PHONY: build vet test race fuzz smoke loadtest-smoke loadtest chaos-smoke chaos capacity-smoke verify
 
 build:
 	$(GO) build ./...
 
 # perfbench is its own module (it imports this one through a replace
-# directive), so the root ./... pattern never compiles it: vet it
-# separately so an API change here cannot silently break the benchmark.
+# directive), so the root ./... pattern never compiles it: vet and test
+# it separately so an API change here cannot silently break the
+# benchmark. The gofmt check names the tracked files explicitly so build
+# output such as .bench_build/ is never scanned.
 vet:
 	$(GO) vet ./...
 	cd perfbench && $(GO) vet ./...
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
 test:
 	$(GO) test ./...
+	cd perfbench && $(GO) test ./...
 
 # The experiments race run is restricted to the tests that exercise the
 # worker pool; a full -race suite multiplies the 40 s experiment tests
@@ -56,11 +55,9 @@ smoke:
 loadtest-smoke:
 	$(GO) run ./cmd/loadtest -smoke
 
-# The full cluster load report (1/2/4 workers), appended to the ledger.
+# The full cluster load report (1/2/4 workers).
 loadtest:
-	$(GO) run ./cmd/loadtest -nodes 1,2,4 -requests 8 -seeds 8 -clients 8 -bench \
-		| grep '^Benchmark' \
-		| $(GO) run ./cmd/benchjson -label '$(BENCH_LABEL)' $(BENCH_FLAGS) -o BENCH_sim.json
+	$(GO) run ./cmd/loadtest -nodes 1,2,4 -requests 8 -seeds 8 -clients 8
 
 # The chaos analogue of loadtest-smoke: the same 2-worker cluster and
 # byte-identity assertions, but every coordinator->worker connection
@@ -69,13 +66,11 @@ loadtest:
 chaos-smoke:
 	$(GO) run ./cmd/loadtest -smoke -chaos 'latency:p=0.1,ms=50;err:p=0.1,status=503;corrupt:p=0.05' -chaos-seed 7
 
-# The full chaos load report, appended to the ledger under its own
-# benchmark family (resilience overhead, not clean-path throughput).
+# The full chaos load report: resilience overhead under injected
+# faults, not clean-path throughput.
 chaos:
-	$(GO) run ./cmd/loadtest -nodes 1,2,4 -requests 8 -seeds 8 -clients 8 -bench \
-		-chaos 'latency:p=0.1,ms=50;err:p=0.1,status=503;corrupt:p=0.05' -chaos-seed 7 \
-		| grep '^Benchmark' \
-		| $(GO) run ./cmd/benchjson -label '$(BENCH_LABEL)' $(BENCH_FLAGS) -o BENCH_sim.json
+	$(GO) run ./cmd/loadtest -nodes 1,2,4 -requests 8 -seeds 8 -clients 8 \
+		-chaos 'latency:p=0.1,ms=50;err:p=0.1,status=503;corrupt:p=0.05' -chaos-seed 7
 
 # Determinism smoke of the capacity planner: the same tiny capacity
 # grid swept sequentially and with four workers must produce identical
@@ -96,7 +91,3 @@ fuzz:
 	$(GO) test ./internal/integrity -run '^$$' -fuzz FuzzIntegrityTree -fuzztime 30s
 
 verify: build vet test race fuzz smoke loadtest-smoke chaos-smoke capacity-smoke
-
-bench:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x . \
-		| $(GO) run ./cmd/benchjson -label '$(BENCH_LABEL)' $(BENCH_FLAGS) -o BENCH_sim.json

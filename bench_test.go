@@ -28,7 +28,7 @@ var printOnce sync.Map
 // printTable shows the regenerated table once per figure, only under
 // `go test -v`, and only after stopping the benchmark timer: table
 // rendering must neither pollute the timed region nor break tools
-// (benchstat, cmd/benchjson) that parse the benchmark output lines.
+// (benchstat) that parse the benchmark output lines.
 func printTable(b *testing.B, id string, res ExperimentResult) {
 	b.Helper()
 	if _, done := printOnce.LoadOrStore(id, true); done || !testing.Verbose() {
@@ -200,8 +200,8 @@ func BenchmarkSingleRunMcfContext(b *testing.B) {
 // BenchmarkSingleRunMcfEngineBipBip is BenchmarkSingleRunMcfContext on
 // the bipbip engine model: same workload and scheme, near-free
 // decryption. It prices the EngineModel interface dispatch on a
-// non-default model and tracks the alternative-engine path's throughput
-// in BENCH_sim.json.
+// non-default model and measures the alternative-engine path's
+// throughput.
 func BenchmarkSingleRunMcfEngineBipBip(b *testing.B) {
 	eng, err := ParseEngine("bipbip")
 	if err != nil {
@@ -228,7 +228,8 @@ func BenchmarkSingleRunMcfEngineBipBip(b *testing.B) {
 // the fault injector armed on a trigger that never fires: it prices the
 // injector's per-fetch bookkeeping (pair capture + trigger evaluation)
 // on a clean run. Compare sim_instrs/s against BenchmarkSingleRunMcfContext
-// in BENCH_sim.json — the armed-but-idle overhead budget is ≤1%.
+// over repeated samples (-count) — the armed-but-idle overhead budget is
+// ≤1%.
 func BenchmarkSingleRunMcfFaultsArmed(b *testing.B) {
 	cfg := DefaultConfig(SchemePred(PredContext))
 	cfg.Scale = Scale{Footprint: 1 << 20, Instructions: 50_000}

@@ -177,7 +177,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		printTenancy(stdout, rep)
 		if *metrics != "" {
-			if err := writeMetrics(stdout, *metrics, rep.Snapshot()); err != nil {
+			if err := rep.Snapshot().WriteFile(*metrics, stdout); err != nil {
 				return fatal(err)
 			}
 		}
@@ -250,7 +250,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	printSecurity(stdout, res)
 	if *metrics != "" {
-		if err := writeMetrics(stdout, *metrics, res.Snapshot()); err != nil {
+		if err := res.Snapshot().WriteFile(*metrics, stdout); err != nil {
 			return fatal(err)
 		}
 	}
@@ -291,27 +291,4 @@ func printSecurity(w io.Writer, res ctrpred.Result) {
 		fmt.Fprintf(w, "quarantined/retries/healed %d/%d/%d\n",
 			res.Security.Quarantined, res.Security.Retries, res.Security.Healed)
 	}
-}
-
-// writeMetrics serializes the snapshot to path: JSON by default, CSV when
-// the path ends in .csv, stdout when path is "-".
-func writeMetrics(stdout io.Writer, path string, snap *ctrpred.Snapshot) error {
-	var w io.Writer = stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	if strings.HasSuffix(path, ".csv") {
-		return snap.WriteCSV(w)
-	}
-	b, err := snap.JSON()
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
 }

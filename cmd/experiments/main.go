@@ -27,7 +27,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -145,33 +144,10 @@ func main() {
 		}
 	}
 	if *metrics != "" {
-		if err := writeMetrics(*metrics, &root); err != nil {
+		if err := root.WriteFile(*metrics, os.Stdout); err != nil {
 			fatal(err)
 		}
 	}
-}
-
-// writeMetrics serializes the snapshot to path: JSON by default, CSV when
-// the path ends in .csv, stdout when path is "-".
-func writeMetrics(path string, snap *ctrpred.Snapshot) error {
-	var w io.Writer = os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	if strings.HasSuffix(path, ".csv") {
-		return snap.WriteCSV(w)
-	}
-	b, err := snap.JSON()
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
 }
 
 // splitValidated splits a comma-separated flag value, trims whitespace,

@@ -17,7 +17,6 @@
 //
 //	go run ./cmd/loadtest                      # nodes 1,2,4 report
 //	go run ./cmd/loadtest -smoke               # 2-worker self-test, seconds
-//	go run ./cmd/loadtest -bench | go run ./cmd/benchjson -label pr8-cluster
 //
 // Scaling note: cells parallelize across workers, so sweep throughput
 // approaches linear only when each worker has real CPU cores behind its
@@ -64,7 +63,6 @@ type options struct {
 	instr       uint64
 	footprint   string
 	workerSlots int
-	bench       bool
 	smoke       bool
 	chaosSched  chaos.Schedule
 	chaosOn     bool
@@ -84,7 +82,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		instr     = fs.Uint64("instr", 2_000, "instructions per simulation")
 		footprint = fs.String("footprint", "1M", "working-set footprint per simulation")
 		slots     = fs.Int("worker-slots", 2, "concurrent jobs per worker node")
-		benchOut  = fs.Bool("bench", false, "emit go test -bench result lines (pipe into cmd/benchjson)")
 		smoke     = fs.Bool("smoke", false, "quick 2-worker self-test: assert byte-identity and a >=95% warm-cache ratio, then exit")
 		chaosStr  = fs.String("chaos", "", `fault schedule injected on the coordinator's worker connections (see internal/chaos), e.g. "latency:p=0.1,ms=100;err:p=0.05"`)
 		chaosSeed = fs.Uint64("chaos-seed", 1, "seed for the -chaos schedule's deterministic draws")
@@ -95,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	opt := options{
 		clients: *clients, requests: *requests, seeds: *seeds,
 		id: *id, instr: *instr, footprint: *footprint,
-		workerSlots: *slots, bench: *benchOut, smoke: *smoke,
+		workerSlots: *slots, smoke: *smoke,
 		chaosSeed: *chaosSeed,
 	}
 	if *chaosStr != "" {
@@ -150,9 +147,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			baseline = res.coldThroughput
 		}
 		report(stdout, opt, n, res, baseline)
-		if opt.bench {
-			emitBench(stdout, opt, n, res)
-		}
 		if opt.smoke {
 			if res.verifyMismatches > 0 {
 				fmt.Fprintf(stderr, "loadtest smoke: FAIL: %d response(s) not byte-identical to single-node\n", res.verifyMismatches)
@@ -179,7 +173,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // result is one cluster size's measurements.
 type result struct {
-	requests       int
 	coldThroughput float64 // req/s
 	coldP50, coldP99,
 	warmP50, warmP99 float64 // ms
@@ -188,7 +181,6 @@ type result struct {
 	errors           int
 	verifyMismatches int
 	verified         int
-	coldWall         time.Duration
 }
 
 // request builds the i-th client request: the same grid under a
@@ -272,8 +264,6 @@ func driveCluster(opt options, n int, stdout io.Writer) (result, error) {
 		return res, fmt.Errorf("warm phase: %w", err)
 	}
 
-	res.requests = opt.requests
-	res.coldWall = cold.wall
 	res.coldThroughput = float64(opt.requests) / cold.wall.Seconds()
 	res.warmThroughput = float64(opt.requests) / warm.wall.Seconds()
 	res.coldP50 = stats.Percentile(cold.latencies, 0.50)
@@ -424,18 +414,4 @@ func report(w io.Writer, opt options, n int, res result, baseline float64) {
 		res.warmThroughput, res.warmP50, res.warmP99, 100*res.warmHitRatio)
 	fmt.Fprintf(w, "  verify: %d/%d byte-identical to single-node\n",
 		res.verified-res.verifyMismatches, res.verified)
-}
-
-// emitBench prints the run in `go test -bench` line format so
-// cmd/benchjson can append it to the ledger. Chaos runs get their own
-// benchmark family: their latencies measure resilience overhead, not
-// clean-path throughput, and must not be compared against it.
-func emitBench(w io.Writer, opt options, n int, res result) {
-	name := "BenchmarkClusterSweepNodes"
-	if opt.chaosOn {
-		name = "BenchmarkClusterChaosNodes"
-	}
-	nsPerReq := int64(res.coldWall) / int64(res.requests)
-	fmt.Fprintf(w, "%s%d \t%d\t%d ns/op\t%.2f req/s\t%.1f cold_p99_ms\t%.1f warm_p50_ms\t%.1f warm_hit_pct\n",
-		name, n, res.requests, nsPerReq, res.coldThroughput, res.coldP99, res.warmP50, 100*res.warmHitRatio)
 }

@@ -23,41 +23,6 @@ func TestLoadtestSmoke(t *testing.T) {
 	}
 }
 
-// TestBenchLineShape pins the -bench output contract cmd/benchjson
-// parses: starts with "Benchmark", no spaces in the name, and an even
-// number of fields after it ((value, unit) pairs following the
-// iteration count).
-func TestBenchLineShape(t *testing.T) {
-	res := result{
-		requests:       8,
-		coldWall:       1e9,
-		coldThroughput: 8,
-		coldP99:        420.5,
-		warmP50:        1.2,
-		warmHitRatio:   1,
-	}
-	for _, tc := range []struct {
-		opt  options
-		name string
-	}{
-		{options{}, "BenchmarkClusterSweepNodes2"},
-		// Chaos runs report under their own family — resilience overhead
-		// must never be compared against clean-path throughput.
-		{options{chaosOn: true}, "BenchmarkClusterChaosNodes2"},
-	} {
-		var out strings.Builder
-		emitBench(&out, tc.opt, 2, res)
-		line := strings.TrimSpace(out.String())
-		if !strings.HasPrefix(line, tc.name) {
-			t.Fatalf("bench line has wrong name: %q, want %s", line, tc.name)
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 4 || len(fields)%2 != 0 {
-			t.Fatalf("bench line has %d fields, want even and >= 4: %q", len(fields), line)
-		}
-	}
-}
-
 // TestChaosSmoke runs the harness's chaos shape: the same 2-worker
 // self-test with faults injected on every coordinator->worker
 // connection. Clean answers and byte-identity are still mandatory.

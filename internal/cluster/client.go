@@ -99,39 +99,41 @@ func (c *Client) Healthz(ctx context.Context, base string) error {
 }
 
 // LookupResult probes a worker's content-addressed cache: GET
-// /v1/results/{key}. A 404 is a clean miss (false, nil error); any
-// other failure is an error.
-func (c *Client) LookupResult(ctx context.Context, base, key string) ([]byte, bool, error) {
+// /v1/results/{key}. A hit returns the body and its verified digest (""
+// when the worker attached none). A 404 is a clean miss (false, nil
+// error); any other failure is an error.
+func (c *Client) LookupResult(ctx context.Context, base, key string) (body []byte, digest string, ok bool, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/results/"+key, nil)
 	if err != nil {
-		return nil, false, err
+		return nil, "", false, err
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return nil, false, err
+		return nil, "", false, err
 	}
 	defer drainClose(resp.Body)
 	switch resp.StatusCode {
 	case http.StatusOK:
 		body, err := io.ReadAll(resp.Body)
 		if err != nil {
-			return nil, false, err
+			return nil, "", false, err
 		}
 		if err := verifyDigest(base, resp.Header, body); err != nil {
-			return nil, false, err
+			return nil, "", false, err
 		}
-		return body, true, nil
+		return body, server.SnapshotDigest(resp.Header), true, nil
 	case http.StatusNotFound:
-		return nil, false, nil
+		return nil, "", false, nil
 	default:
-		return nil, false, statusError(resp)
+		return nil, "", false, statusError(resp)
 	}
 }
 
 // PostJSON sends a JSON job to a worker and returns the response body
-// and headers. Non-2xx responses come back as a *StatusError carrying
-// the Retry-After hint, so the dispatch loop can tell saturation (wait
-// and retry here) from breakage (fail over).
+// and headers; a body's X-Snapshot-Digest, when present, has been
+// verified against it. Non-2xx responses come back as a *StatusError
+// carrying the Retry-After hint, so the dispatch loop can tell
+// saturation (wait and retry here) from breakage (fail over).
 func (c *Client) PostJSON(ctx context.Context, base, path string, body []byte) ([]byte, http.Header, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(body))
 	if err != nil {

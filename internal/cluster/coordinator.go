@@ -275,17 +275,17 @@ func (c *Coordinator) RunExperiment(ctx context.Context, job server.ExperimentJo
 // Lookup asks the cluster for an already-computed result, home worker
 // first, then the rest of the ring sequence. Each probe is individually
 // deadlined so one stalled worker cannot wedge the sweep.
-func (c *Coordinator) Lookup(ctx context.Context, key string) ([]byte, bool) {
+func (c *Coordinator) Lookup(ctx context.Context, key string) ([]byte, string, bool) {
 	for _, node := range c.reg.Candidates(key) {
 		lctx, cancel := context.WithTimeout(ctx, c.cfg.LookupTimeout)
-		b, ok, err := c.client.LookupResult(lctx, node, key)
+		b, digest, ok, err := c.client.LookupResult(lctx, node, key)
 		cancel()
 		if err == nil && ok {
 			c.peerHits.Add(1)
-			return b, true
+			return b, digest, true
 		}
 	}
-	return nil, false
+	return nil, "", false
 }
 
 // Health reports worker membership; with every worker down the
@@ -397,11 +397,13 @@ func (c *Coordinator) forward(ctx context.Context, path string, req any, key str
 // failure (timeout, panic, self-check) — an answer, not an outage. 502s
 // and transport errors come back for the failover loop.
 func (c *Coordinator) relayPlain(ctx context.Context, node, path string, body []byte, key string, emit func(server.Event)) error {
-	out, _, err := c.client.PostJSON(ctx, node, path, body)
+	out, hdr, err := c.client.PostJSON(ctx, node, path, body)
 	var se *StatusError
 	switch {
 	case err == nil:
-		emit(server.Event{Event: "result", Key: key, Snapshot: out})
+		// PostJSON verified the worker's digest, so the cache need not
+		// hash the body again.
+		emit(server.Event{Event: "result", Key: key, Snapshot: out, Digest: server.SnapshotDigest(hdr)})
 	case errors.As(err, &se) && se.Status >= 500 && se.Status < 600 && se.Status != http.StatusBadGateway:
 		emit(workerErrEvent(se))
 	default:
@@ -431,8 +433,8 @@ func (c *Coordinator) relayStream(ctx context.Context, node, path string, body [
 			ev.Compact = true
 			if !noCache {
 				lctx, cancel := context.WithTimeout(ctx, c.cfg.LookupTimeout)
-				if canon, ok, err := c.client.LookupResult(lctx, node, key); err == nil && ok {
-					ev.Snapshot, ev.Compact = canon, false
+				if canon, digest, ok, err := c.client.LookupResult(lctx, node, key); err == nil && ok {
+					ev.Snapshot, ev.Digest, ev.Compact = canon, digest, false
 				}
 				cancel()
 			}
@@ -642,7 +644,7 @@ func (c *Coordinator) failover(ctx context.Context, key string, noCache bool, wh
 			backup = cands[(redispatch+1)%len(cands)]
 		}
 		if redispatch > 0 && !noCache {
-			if b, ok := c.Lookup(ctx, key); ok {
+			if b, _, ok := c.Lookup(ctx, key); ok {
 				return b, nil
 			}
 		}

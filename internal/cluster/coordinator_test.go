@@ -528,6 +528,88 @@ func TestClusterResultLookup(t *testing.T) {
 	}
 }
 
+// TestRelayCarriesVerifiedDigest: the client verifies every relayed
+// worker body against its X-Snapshot-Digest, so the relay hands that
+// digest on with the body and the coordinator's cache stores the
+// worker's digest instead of hashing the same bytes again. Both the
+// plain relay-miss path and the stream's canonical-body fetch carry it.
+func TestRelayCarriesVerifiedDigest(t *testing.T) {
+	c, ts, workers := newCluster(t, 1, Config{})
+	simReq := server.SimRequest{
+		Bench: "gzip", Scheme: "baseline",
+		Footprint: "1M", Instructions: testInstr, Seed: testSeed,
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/sim", simReq)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sim: status %d: %s", resp.StatusCode, body)
+	}
+	if got := resp.Header.Get("X-Cache"); got != "miss" {
+		t.Fatalf("first run X-Cache = %q; want miss", got)
+	}
+	digest := server.SnapshotDigest(resp.Header)
+	if digest != server.BodyDigest(body) {
+		t.Fatalf("relayed miss X-Snapshot-Digest = %q; want BodyDigest(body) %q", digest, server.BodyDigest(body))
+	}
+	key := resp.Header.Get("X-Result-Key")
+
+	get := func(url string) (*http.Response, []byte) {
+		t.Helper()
+		r, err := http.Get(url + "/v1/results/" + key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(r.Body)
+		r.Body.Close()
+		if r.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s result: status %d", url, r.StatusCode)
+		}
+		return r, b
+	}
+	wresp, _ := get(workers[0].URL)
+	if w := server.SnapshotDigest(wresp.Header); w != digest {
+		t.Fatalf("worker digest %q differs from the relayed %q", w, digest)
+	}
+	cresp, cached := get(ts.URL)
+	if cresp.Header.Get("X-Cache") != "hit" || !bytes.Equal(cached, body) || server.SnapshotDigest(cresp.Header) != digest {
+		t.Fatalf("coordinator cache: X-Cache %q, digest %q, same body %v; want a hit with the worker's digest",
+			cresp.Header.Get("X-Cache"), server.SnapshotDigest(cresp.Header), bytes.Equal(cached, body))
+	}
+
+	reqBody, err := json.Marshal(simReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lastResult := func(relay func(emit func(server.Event)) error) server.Event {
+		t.Helper()
+		var final server.Event
+		if err := relay(func(ev server.Event) {
+			if ev.Event == "result" || ev.Event == "error" {
+				final = ev
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if final.Event != "result" {
+			t.Fatalf("relay ended in %+v; want a result", final)
+		}
+		return final
+	}
+	ctx := context.Background()
+	plain := lastResult(func(emit func(server.Event)) error {
+		return c.relayPlain(ctx, workers[0].URL, "/v1/sim", reqBody, key, emit)
+	})
+	if plain.Digest != digest || !bytes.Equal(plain.Snapshot, body) {
+		t.Errorf("plain relay event digest = %q; want the worker's %q with its body", plain.Digest, digest)
+	}
+	stream := lastResult(func(emit func(server.Event)) error {
+		return c.relayStream(ctx, workers[0].URL, "/v1/sim", reqBody, key, false, emit)
+	})
+	if stream.Compact || stream.Digest != digest || !bytes.Equal(stream.Snapshot, body) {
+		t.Errorf("stream relay event: compact %v, digest %q; want the canonical body with the worker's digest %q",
+			stream.Compact, stream.Digest, digest)
+	}
+}
+
 // TestClusterRejectsBadRequests: validation happens at the coordinator
 // with the same statuses a single node uses.
 func TestClusterRejectsBadRequests(t *testing.T) {

@@ -619,9 +619,6 @@ type AgedTemplate struct {
 	tracker ctr.PadTracker
 }
 
-// Lines reports how many distinct lines the template pre-aged.
-func (t *AgedTemplate) Lines() int { return t.ctrs.Count() }
-
 // BuildAgedTemplate replays the aging setup loop once into a frozen
 // template: visit yields the sampled (line address, counter offset) pairs
 // in setup order, roots maps a line address to its page root counter

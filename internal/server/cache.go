@@ -55,9 +55,13 @@ func (c *ResultCache) Get(key string) (body []byte, digest string, ok bool) {
 
 // Put stores body under key, evicting the least recently used entries
 // past capacity, and returns the body's digest (also when the cache is
-// disabled: the response carries it either way).
-func (c *ResultCache) Put(key string, body []byte) string {
-	digest := BodyDigest(body) // outside the lock: hits must not queue behind a hash
+// disabled: the response carries it either way). digest is the body's
+// BodyDigest when the caller already holds it (a relay verified it);
+// "" has Put hash the body itself.
+func (c *ResultCache) Put(key string, body []byte, digest string) string {
+	if digest == "" {
+		digest = BodyDigest(body) // outside the lock: hits must not queue behind a hash
+	}
 	if c == nil || c.cap <= 0 {
 		return digest
 	}

@@ -28,8 +28,9 @@ type Executor interface {
 	RunSim(ctx context.Context, job SimJob, emit func(Event))
 	RunExperiment(ctx context.Context, job ExperimentJob, emit func(Event))
 	// Lookup finds a result the Server's own cache lacks (served with
-	// X-Cache: peer).
-	Lookup(ctx context.Context, key string) ([]byte, bool)
+	// X-Cache: peer), with its digest when already verified ("" has the
+	// Server hash the body).
+	Lookup(ctx context.Context, key string) (body []byte, digest string, ok bool)
 	// Health adds fields to the /healthz body; it may set "status".
 	Health(fields map[string]any)
 	// Metrics adds counters and children to the /metrics tree's root.
@@ -151,7 +152,7 @@ func (l *Local) RunExperiment(ctx context.Context, job ExperimentJob, emit func(
 }
 
 // Lookup finds nothing: a single node's results live only in its cache.
-func (*Local) Lookup(context.Context, string) ([]byte, bool) { return nil, false }
+func (*Local) Lookup(context.Context, string) ([]byte, string, bool) { return nil, "", false }
 
 // Health adds nothing to the Server's own fields.
 func (*Local) Health(map[string]any) {}

@@ -257,6 +257,10 @@ type Event struct {
 	// origin could not be asked for them): it is streamed but not cached.
 	// Not part of the wire form.
 	Compact bool `json:"-"`
+	// Digest is the Snapshot's BodyDigest when the producer already
+	// verified it (a relayed worker body), so caching it does not hash
+	// the bytes again; "" when unknown. Not part of the wire form.
+	Digest string `json:"-"`
 }
 
 // classify maps a job error to a stream code and HTTP status.
@@ -470,9 +474,12 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, spec dispatchS
 // the body is not canonical, and returns the body's digest.
 func (s *Server) keep(spec dispatchSpec, ev Event) string {
 	if spec.noCache || ev.Compact {
+		if ev.Digest != "" {
+			return ev.Digest
+		}
 		return BodyDigest(ev.Snapshot)
 	}
-	return s.cache.Put(spec.key, ev.Snapshot)
+	return s.cache.Put(spec.key, ev.Snapshot, ev.Digest)
 }
 
 // writeResult writes a plain result body with the headers every plain
@@ -543,8 +550,8 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeResult(w, key, "hit", body, digest)
 		return
 	}
-	if body, ok := s.exec.Lookup(r.Context(), key); ok {
-		writeResult(w, key, "peer", body, s.cache.Put(key, body))
+	if body, digest, ok := s.exec.Lookup(r.Context(), key); ok {
+		writeResult(w, key, "peer", body, s.cache.Put(key, body, digest))
 		return
 	}
 	WriteError(w, http.StatusNotFound, fmt.Errorf("no cached result for %q", key))

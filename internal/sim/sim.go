@@ -92,9 +92,9 @@ func sizeLabel(bytes int) string {
 
 // Config is a full machine + run configuration.
 type Config struct {
-	CPU    cpu.Config
-	Mem    memsys.Config
-	DRAM   dram.Config
+	CPU  cpu.Config
+	Mem  memsys.Config
+	DRAM dram.Config
 	// Engine selects the cipher-engine timing model (see
 	// cryptoengine.ParseEngine). The zero Spec is the default pipelined
 	// AES, so configs predating engine models keep their meaning.

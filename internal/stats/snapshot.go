@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
+	"strings"
 )
 
 // Snapshot is one node of a metrics tree: a named bag of counters, float
@@ -152,6 +154,34 @@ func (s *Snapshot) WriteCSV(w io.Writer) error {
 		return err
 	}
 	return s.writeCSV(w, s.Name)
+}
+
+// WriteFile is the CLIs' -metrics export: it writes the tree to path as
+// JSON, or as CSV when path ends in ".csv"; path "-" writes JSON to
+// stdout instead of a file.
+func (s *Snapshot) WriteFile(path string, stdout io.Writer) (err error) {
+	w := stdout
+	if path != "-" {
+		f, ferr := os.Create(path)
+		if ferr != nil {
+			return ferr
+		}
+		defer func() { // a failed Close can lose written metrics
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
+		w = f
+	}
+	if strings.HasSuffix(path, ".csv") {
+		return s.WriteCSV(w)
+	}
+	b, err := s.JSON()
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
 }
 
 func (s *Snapshot) writeCSV(w io.Writer, path string) error {

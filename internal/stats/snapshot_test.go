@@ -2,6 +2,8 @@ package stats
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -72,16 +74,16 @@ func TestWriteCSVShape(t *testing.T) {
 		got[parts[0]+","+parts[1]] = parts[2]
 	}
 	for key, want := range map[string]string{
-		"run,benchmark":                 "mcf",
-		"run,fetches":                   "100",
-		"run,ipc":                       "0.5",
-		"run/cpu,cycles":                "2000",
-		"run/ctrl,latency.total":        "3",
-		"run/ctrl,latency.sum":          "555",
-		"run/ctrl,latency.max":          "500",
-		"run/ctrl,latency.mean":         "185",
-		"run/ctrl,latency.le_10":        "1",
-		"run/ctrl,latency.overflow":     "1",
+		"run,benchmark":             "mcf",
+		"run,fetches":               "100",
+		"run,ipc":                   "0.5",
+		"run/cpu,cycles":            "2000",
+		"run/ctrl,latency.total":    "3",
+		"run/ctrl,latency.sum":      "555",
+		"run/ctrl,latency.max":      "500",
+		"run/ctrl,latency.mean":     "185",
+		"run/ctrl,latency.le_10":    "1",
+		"run/ctrl,latency.overflow": "1",
 	} {
 		if got[key] != want {
 			t.Errorf("CSV row %q = %q, want %q", key, got[key], want)
@@ -126,5 +128,50 @@ func TestNilHistogramSkipped(t *testing.T) {
 	n.Histogram("h", nil)
 	if len(n.Histograms) != 0 {
 		t.Fatal("nil histogram recorded")
+	}
+}
+
+// TestWriteFileFormats pins the -metrics export contract both CLIs
+// share: JSON by default, CSV for a .csv path, JSON on stdout for "-".
+func TestWriteFileFormats(t *testing.T) {
+	snap := buildTree([]int{0, 1, 2, 3, 4, 5, 6})
+	wantJSON, err := snap.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantCSV bytes.Buffer
+	if err := snap.WriteCSV(&wantCSV); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		want []byte
+	}{
+		{"run.json", wantJSON},
+		{"run.csv", wantCSV.Bytes()},
+		{"run", wantJSON},
+	} {
+		path := filepath.Join(dir, tc.name)
+		if err := snap.WriteFile(path, nil); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, tc.want) {
+			t.Fatalf("%s:\n%s\nwant:\n%s", tc.name, got, tc.want)
+		}
+	}
+	var stdout bytes.Buffer
+	if err := snap.WriteFile("-", &stdout); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stdout.Bytes(), wantJSON) {
+		t.Fatalf("stdout export:\n%s\nwant:\n%s", stdout.Bytes(), wantJSON)
+	}
+	if err := snap.WriteFile(filepath.Join(dir, "missing", "run.json"), nil); err == nil {
+		t.Fatal("WriteFile into a missing directory succeeded")
 	}
 }

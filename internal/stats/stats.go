@@ -32,11 +32,6 @@ func Rate(num, den uint64) float64 {
 	return float64(num) / float64(den)
 }
 
-// Percent formats Rate(num, den) as a percentage with one decimal.
-func Percent(num, den uint64) string {
-	return fmt.Sprintf("%.1f%%", 100*Rate(num, den))
-}
-
 // Histogram is a fixed-bucket histogram over non-negative integer samples.
 // The final bucket is open-ended.
 type Histogram struct {
@@ -81,20 +76,6 @@ func (h *Histogram) bucket(v uint64) int {
 		}
 	}
 	return len(h.Bounds)
-}
-
-// ObserveN records n identical samples in one update — the batch path
-// used by the crypto engine when it books a whole guess burst at once.
-func (h *Histogram) ObserveN(v uint64, n uint64) {
-	if n == 0 {
-		return
-	}
-	h.Counts[h.bucket(v)] += n
-	h.Total += n
-	h.Sum += v * n
-	if v > h.Max {
-		h.Max = v
-	}
 }
 
 // ObserveRange records the arithmetic run v, v+1, …, v+n-1 (n samples)

@@ -24,12 +24,6 @@ func TestRate(t *testing.T) {
 	}
 }
 
-func TestPercent(t *testing.T) {
-	if got := Percent(82, 100); got != "82.0%" {
-		t.Fatalf("Percent = %q", got)
-	}
-}
-
 func TestHistogramBuckets(t *testing.T) {
 	h := NewHistogram(1, 5, 10)
 	for _, v := range []uint64{0, 1, 2, 5, 6, 10, 11, 100} {
